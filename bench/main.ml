@@ -566,13 +566,10 @@ let capture_stream w ~cases ~ops =
 (* Replay the stream through a live checker's interposer (the full
    protection path: pre-execution walk, verdict, shadow commit) and
    measure interactions and ES-CFG nodes walked per second. *)
-let replay_throughput ?(contained = true) ?(minimized = false) w engine reqs =
+let replay_throughput ?(contained = true) w engine reqs =
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
   let config = { Sedspec.Checker.default_config with Sedspec.Checker.engine } in
-  let b =
-    if minimized then Metrics.Spec_cache.built_minimized w W.paper_version
-    else Metrics.Spec_cache.built w W.paper_version
-  in
+  let b = Metrics.Spec_cache.built w W.paper_version in
   let m = W.make_machine W.paper_version in
   let checker = Sedspec.Pipeline.protect ~config m ~device:W.device_name b in
   let ip =
@@ -649,77 +646,6 @@ let walk_throughput () =
   Printf.printf
     "(replays one benign request stream through the checker interposer;\n\
     \ speedup = compiled / interpreted interactions per second)\n"
-
-(* Dependence-driven spec minimization: spec size and walk cost before
-   vs after, per device.  The JSON carries the per-device node counts so
-   CI can assert the invariant that minimization never grows a spec
-   (BENCH_7.json thresholds). *)
-let minimize_bench () =
-  section "Ablation: dependence-driven spec minimization (CDG/DDG)";
-  let rows =
-    List.map
-      (fun w ->
-        let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-        let device = W.device_name in
-        let minimized = Metrics.Spec_cache.built_minimized w W.paper_version in
-        let rep =
-          match minimized.Sedspec.Pipeline.minimized with
-          | Some r -> r
-          | None -> assert false
-        in
-        let reqs = capture_stream w ~cases:(if !quick then 2 else 4) ~ops:20 in
-        let ns_per_node nps = if nps > 0.0 then 1.0e9 /. nps else Float.nan in
-        let _, t_nps = replay_throughput w Sedspec.Checker.Compiled reqs in
-        let _, m_nps =
-          replay_throughput ~minimized:true w Sedspec.Checker.Compiled reqs
-        in
-        let pfx = Printf.sprintf "minimize.%s" device in
-        json_int (pfx ^ ".nodes_before") rep.Sedspec.Minimize.nodes_before;
-        json_int (pfx ^ ".nodes_after") rep.Sedspec.Minimize.nodes_after;
-        json_int (pfx ^ ".pruned") rep.Sedspec.Minimize.pruned;
-        json_int (pfx ^ ".branches_folded") rep.Sedspec.Minimize.branches_folded;
-        json_int (pfx ^ ".branches_dominated")
-          rep.Sedspec.Minimize.branches_dominated;
-        json_int (pfx ^ ".chains_merged") rep.Sedspec.Minimize.chains_merged;
-        json_int (pfx ^ ".sync_sites_flow_insensitive")
-          rep.Sedspec.Minimize.sync_sites_flow_insensitive;
-        json_int (pfx ^ ".sync_sites_ddg") rep.Sedspec.Minimize.sync_sites_ddg;
-        json_bool (pfx ^ ".never_larger")
-          (rep.Sedspec.Minimize.nodes_after <= rep.Sedspec.Minimize.nodes_before);
-        json_float (pfx ^ ".trained_ns_per_node") (ns_per_node t_nps);
-        json_float (pfx ^ ".minimized_ns_per_node") (ns_per_node m_nps);
-        [
-          device;
-          string_of_int rep.Sedspec.Minimize.nodes_before;
-          string_of_int rep.Sedspec.Minimize.nodes_after;
-          Printf.sprintf "%d/%d/%d/%d" rep.Sedspec.Minimize.pruned
-            rep.Sedspec.Minimize.branches_folded
-            rep.Sedspec.Minimize.branches_dominated
-            rep.Sedspec.Minimize.chains_merged;
-          Printf.sprintf "%d -> %d"
-            rep.Sedspec.Minimize.sync_sites_flow_insensitive
-            rep.Sedspec.Minimize.sync_sites_ddg;
-          Printf.sprintf "%.1f" (ns_per_node t_nps);
-          Printf.sprintf "%.1f" (ns_per_node m_nps);
-        ])
-      Workload.Samples.all
-  in
-  Table.print
-    ~align:
-      [
-        Table.Left; Table.Right; Table.Right; Table.Center; Table.Center;
-        Table.Right; Table.Right;
-      ]
-    ~header:
-      [
-        "Device"; "nodes"; "minimized"; "pruned/fold/dom/merge";
-        "sync sites (fi -> ddg)"; "walk ns/node"; "min ns/node";
-      ]
-    rows;
-  Printf.printf
-    "(compiled engine; sync sites compare the flow-insensitive classifier\n\
-    \ against the reaching-definitions DDG; ns/node is walk cost per\n\
-    \ ES-CFG node over a benign request stream)\n"
 
 (* The fault-injection PR wrapped every interposer callback in a
    containment handler (Checker.interposer vs interposer_exn).  This row
@@ -1145,7 +1071,7 @@ let fuzz_smoke () =
   Printf.printf "(any divergence or crash is a walk-engine bug)\n"
 
 (* The cross-version deviation locator over the attack catalogue:
-   vulnerable vs patched device model per CVE, minimized witnesses,
+   vulnerable vs patched device model per CVE, ddmin-shrunk witnesses,
    localized block sets (DESIGN.md §4i).  Quick mode covers the scsi
    catalogue (three CVEs, three version pairs, one device build); the
    full run covers all nine. *)
@@ -1207,7 +1133,7 @@ let locate_bench () =
     rows;
   Printf.printf
     "(localized = statically patched blocks contained in the dynamically\n\
-    \ localized set; best shrink = smallest minimized/original witness ratio)\n"
+    \ localized set; best shrink = smallest shrunk/original witness ratio)\n"
 
 (* ------------------------------------------------------------------ *)
 
@@ -1509,7 +1435,6 @@ let () =
       | "ablation" -> ablation ()
       | "baseline" -> baseline ()
       | "micro" -> micro ()
-      | "minimize" -> minimize_bench ()
       | "fleet" -> fleet_bench ()
       | "scale" -> scale_bench ()
       | "fuzz" -> fuzz_smoke ()
@@ -1525,7 +1450,6 @@ let () =
         baseline ();
         ablation ();
         micro ();
-        minimize_bench ();
         fleet_bench ();
         scale_bench ();
         fuzz_smoke ();
@@ -1534,7 +1458,7 @@ let () =
         rollout_bench ()
       | other ->
         Printf.eprintf
-          "unknown command %s (table2|table3|fig3|fig4|fig5|baseline|ablation|micro|minimize|fleet|scale|fuzz|locate|hostile|rollout|all)\n"
+          "unknown command %s (table2|table3|fig3|fig4|fig5|baseline|ablation|micro|fleet|scale|fuzz|locate|hostile|rollout|all)\n"
           other;
         exit 2)
     cmds;

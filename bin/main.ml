@@ -52,28 +52,14 @@ let inspect_cmd =
     let doc = "Write a Graphviz rendering of the ES-CFG to $(docv)." in
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
-  let minimize_arg =
-    let doc = "Also minimize the specification (dependence-driven check \
-               pruning and chain merging) and print the before/after \
-               comparison; saved/rendered outputs then describe the \
-               minimized spec." in
-    Arg.(value & flag & info [ "minimize" ] ~doc)
-  in
-  let run device cases save dot minimize =
+  let run device cases save dot =
     setup_training cases;
     let w = find_device device in
     let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-    let built =
-      if minimize then Metrics.Spec_cache.built_minimized (module W) W.paper_version
-      else Metrics.Spec_cache.built (module W) W.paper_version
-    in
+    let built = Metrics.Spec_cache.built (module W) W.paper_version in
     Format.printf "device %s at QEMU v%s@." W.device_name
       (Devices.Qemu_version.to_string W.paper_version);
     Format.printf "@.%a@." Sedspec.Pipeline.pp_built built;
-    (if minimize then
-       let trained = Metrics.Spec_cache.built (module W) W.paper_version in
-       Format.printf "@.trained spec (before minimization):@.%a@."
-         Sedspec.Es_cfg.pp_stats trained.Sedspec.Pipeline.spec);
     Format.printf "@.device state parameter selection:@.%a@." Sedspec.Selection.pp
       (Sedspec.Es_cfg.selection built.spec);
     Format.printf "content-tracked buffers: %s@."
@@ -101,8 +87,7 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:"Train and print a device's execution specification")
-    Term.(const run $ device_arg $ training_cases_arg $ save_arg $ dot_arg
-          $ minimize_arg)
+    Term.(const run $ device_arg $ training_cases_arg $ save_arg $ dot_arg)
 
 (* --- attack ------------------------------------------------------------- *)
 
@@ -245,19 +230,6 @@ let fuzz_cmd =
                report per-input verdicts instead of fuzzing." in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
-  let oracle_arg =
-    let doc = "Differential oracle: $(b,default) (compiled vs interpreted), \
-               $(b,minimized) (minimized vs trained spec, same engine) or \
-               $(b,all)." in
-    Arg.(value
-         & opt (enum [ ("default", `Default); ("minimized", `Minimized); ("all", `All) ]) `Default
-         & info [ "oracle" ] ~docv:"ORACLE" ~doc)
-  in
-  let oracle_profiles = function
-    | `Default -> Fuzz.Exec.default_profiles
-    | `Minimized -> Fuzz.Exec.minimized_profiles
-    | `All -> Fuzz.Exec.all_profiles
-  in
   let load_corpus file =
     match Fuzz.Input.load_corpus file with
     | Ok inputs -> inputs
@@ -265,12 +237,12 @@ let fuzz_cmd =
       Printf.eprintf "cannot load corpus %s: %s\n" file msg;
       exit 2
   in
-  let replay_file ~profiles file =
+  let replay_file file =
     let inputs = load_corpus file in
     let failed = ref 0 in
     List.iteri
       (fun i (input : Fuzz.Input.t) ->
-        let o = Fuzz.Exec.evaluate ~profiles input in
+        let o = Fuzz.Exec.evaluate input in
         let verdict =
           match (o.Fuzz.Exec.divergences, o.Fuzz.Exec.crashed) with
           | [], None -> "ok"
@@ -291,8 +263,8 @@ let fuzz_cmd =
       inputs;
     if !failed > 0 then exit 1
   in
-  let fuzz_devices ~profiles device budget seed jobs batch max_steps json
-      corpus_out corpus_in =
+  let fuzz_devices device budget seed jobs batch max_steps json corpus_out
+      corpus_in =
     let devices =
       if device = "all" then
         List.map
@@ -319,7 +291,6 @@ let fuzz_cmd =
               jobs;
               batch;
               max_steps;
-              profiles;
               extra_seeds =
                 List.filter
                   (fun (i : Fuzz.Input.t) -> i.device = dev)
@@ -373,21 +344,20 @@ let fuzz_cmd =
     then exit 1
   in
   let run device budget seed jobs batch max_steps json corpus_out corpus_in
-      replay oracle cases =
+      replay cases =
     setup_training cases;
-    let profiles = oracle_profiles oracle in
     match replay with
-    | Some file -> replay_file ~profiles file
+    | Some file -> replay_file file
     | None ->
-      fuzz_devices ~profiles device budget seed jobs batch max_steps json
-        corpus_out corpus_in
+      fuzz_devices device budget seed jobs batch max_steps json corpus_out
+        corpus_in
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Coverage-guided differential fuzzing of the ES-Checker")
     Term.(const run $ device_opt_arg $ budget_arg $ seed_arg $ jobs_arg
           $ batch_arg $ max_steps_arg $ json_arg $ corpus_out_arg
-          $ corpus_in_arg $ replay_arg $ oracle_arg $ training_cases_arg)
+          $ corpus_in_arg $ replay_arg $ training_cases_arg)
 
 (* --- locate ---------------------------------------------------------------- *)
 
@@ -560,8 +530,7 @@ let evolve_cmd =
   let recipe_arg =
     let doc =
       "Candidate recipe: 'retrained' or 'retrained:N' (retrain on N benign \
-       cases), 'minimized' (dependence-driven minimization), or \
-       'poisoned:CVE-XXXX-YYYY' (a deliberately looser candidate whose \
+       cases), or 'poisoned:CVE-XXXX-YYYY' (a deliberately looser candidate whose \
        training corpus treats that CVE's attack as benign — the ladder \
        must reject it)."
     in
@@ -647,7 +616,6 @@ let evolve_cmd =
   in
   let parse_recipe recipe device w =
     match recipe with
-    | "minimized" -> Fleet.Rollout.minimized w
     | "retrained" ->
       Fleet.Rollout.retrained w ~cases:!Metrics.Spec_cache.training_cases
     | _ -> (
@@ -665,11 +633,11 @@ let evolve_cmd =
         | "poisoned" -> poisoned_recipe ~cve:arg ~device
         | _ ->
           Printf.eprintf
-            "unknown recipe %s (retrained[:N]|minimized|poisoned:CVE)\n" recipe;
+            "unknown recipe %s (retrained[:N]|poisoned:CVE)\n" recipe;
           exit 2)
       | None ->
         Printf.eprintf
-          "unknown recipe %s (retrained[:N]|minimized|poisoned:CVE)\n" recipe;
+          "unknown recipe %s (retrained[:N]|poisoned:CVE)\n" recipe;
         exit 2)
   in
   let run device recipe vms canary_vms shadow_vms shadow_ticks canary_ticks

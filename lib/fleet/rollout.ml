@@ -28,12 +28,6 @@ let retrained (module W : Workload.Samples.DEVICE_WORKLOAD) ~cases =
       (fun version -> Metrics.Spec_cache.built_retrained (module W) version ~cases);
   }
 
-let minimized (module W : Workload.Samples.DEVICE_WORKLOAD) =
-  {
-    rc_name = "minimized";
-    rc_build = (fun version -> Metrics.Spec_cache.built_minimized (module W) version);
-  }
-
 type rung = Shadow | Canary | Promoted | Rolled_back
 
 let rung_to_string = function

@@ -1,7 +1,7 @@
 (** Online spec evolution: the candidate rollout ladder.
 
-    A candidate specification (retrained on a newer corpus, minimized, or
-    merged) climbs three rungs before it may replace the enforced base:
+    A candidate specification (retrained on a newer corpus, or merged)
+    climbs three rungs before it may replace the enforced base:
 
     {v Shadow  ->  Canary  ->  Promoted v}
 
@@ -45,9 +45,6 @@ type recipe = {
 val retrained :
   (module Workload.Samples.DEVICE_WORKLOAD) -> cases:int -> recipe
 (** The {!Metrics.Spec_cache.built_retrained} candidate. *)
-
-val minimized : (module Workload.Samples.DEVICE_WORKLOAD) -> recipe
-(** The {!Metrics.Spec_cache.built_minimized} candidate. *)
 
 type rung = Shadow | Canary | Promoted | Rolled_back
 

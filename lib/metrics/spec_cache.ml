@@ -78,21 +78,12 @@ let built (module W : Workload.Samples.DEVICE_WORKLOAD) version =
       Sedspec.Pipeline.build m ~device:W.device_name
         (W.trainer ~cases:!training_cases))
 
-(* Derived key: the minimized spec is computed from the trained one, so
-   the inner [built] call may itself trigger (or wait on) the base
-   build.  Neither single-flight holds the lock while building, so the
-   nesting cannot deadlock. *)
-let built_minimized (module W : Workload.Samples.DEVICE_WORKLOAD) version =
-  let key =
-    (W.device_name, Devices.Qemu_version.to_string version ^ "+min")
-  in
-  single_flight key (fun () ->
-      Sedspec.Pipeline.minimize_built (built (module W) version))
-
 (* Candidate key: a fresh training pass at a different corpus size — the
    evolution ladder's retrained-on-recent-traffic candidate.  The spec is
    stamped one revision past the cached base so the rollout can order and
-   pin generations. *)
+   pin generations.  Reading that base may itself trigger (or wait on)
+   the base build; neither single-flight holds the lock while building,
+   so the nesting cannot deadlock. *)
 let built_retrained (module W : Workload.Samples.DEVICE_WORKLOAD) version
     ~cases =
   if cases < 1 then invalid_arg "Spec_cache.built_retrained: cases must be >= 1";
@@ -188,8 +179,8 @@ let guard_profile (module W : Workload.Samples.DEVICE_WORKLOAD) version =
     Mutex.unlock lock;
     p
 
-(* Eviction must take the derived entries ("+min", "+retrain:N", …) with
-   the base: a stale derived spec would otherwise keep serving content
+(* Eviction must take the derived ("+retrain:N") entries with the
+   base: a stale derived spec would otherwise keep serving content
    computed from an evicted — possibly superseded — base build.  Derived
    keys all extend the base version string with a '+' suffix, so one
    prefix scan finds them.  In-flight [Building]/[G_building] markers are

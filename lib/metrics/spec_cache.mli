@@ -25,16 +25,6 @@ val built :
     starts a fresh build instead of observing a poisoned entry.  Only
     the caller whose own build raised sees the exception. *)
 
-val built_minimized :
-  (module Workload.Samples.DEVICE_WORKLOAD) ->
-  Devices.Qemu_version.t ->
-  Sedspec.Pipeline.built
-(** The {!Sedspec.Minimize}d derivation of {!built}, memoised under its
-    own single-flight key ([version ^ "+min"]).  The first call may
-    trigger (or wait on) the base build; each successful derivation also
-    increments {!builds} — a run using minimized specs touches two keys
-    per (device, version). *)
-
 val built_retrained :
   (module Workload.Samples.DEVICE_WORKLOAD) ->
   Devices.Qemu_version.t ->
@@ -99,9 +89,9 @@ val guard_fail_closed : unit -> int
     {!Guard.Resp.fail_closed}. *)
 
 val evict : device:string -> version:string -> int
-(** Drop the cached spec build {e and} every derived entry (["+min"],
-    ["+retrain:N"], …) plus the guard profile for [(device, version)],
-    returning how many entries were removed.  Derived entries go with
+(** Drop the cached spec build {e and} every derived (["+retrain:N"])
+    entry plus the guard profile for [(device, version)], returning how
+    many entries were removed.  Derived entries go with
     the base so a stale derivation can never outlive (and silently
     shadow) a superseded base build.  In-flight single-flight markers
     are left untouched — the active builder lands or evicts its own

@@ -5,12 +5,11 @@ module Table = Sedspec_util.Table
 (* Structural diff and conservative merge of two ES-CFGs (ROADMAP item 4).
 
    The diff is keyed by bref (handler/label strings), so it works across
-   device versions and across derived programs (a minimized spec's
-   "+min" program keeps every surviving block's bref).  The merge is
-   evidence-conservative: it starts from the base spec and only ever
-   *adds* — nodes the candidate visited, transition envelope entries the
-   candidate observed, access-table rows the candidate's benign traffic
-   exercised.  Nothing the base learned is ever removed, so a merged
+   device versions, whose programs keep the labels of unchanged blocks.
+   The merge is evidence-conservative: it starts from the base spec and
+   only ever *adds* — nodes the candidate visited, transition envelope
+   entries the candidate observed, access-table rows the candidate's
+   benign traffic exercised.  Nothing the base learned is ever removed, so a merged
    spec can only be looser than the base where the candidate's benign
    evidence supports it, and never stricter. *)
 

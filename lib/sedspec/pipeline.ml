@@ -14,11 +14,12 @@ type phase1 = {
 type built = {
   spec : Es_cfg.t;
   p1 : phase1;
-  logs : Ds_log.t;
+  log_count : int;
+  interaction_count : int;
+  entry_count : int;
   datadep : Datadep.report;
   reduced : int;
   arena : Compile.t;
-  minimized : Minimize.report option;
 }
 
 let reset_device machine ~device =
@@ -58,17 +59,7 @@ let collect machine ~device trainer =
 (* The paper's trainer feeds the same samples again with the observation
    points instrumented; a trap during benign training would indicate a
    broken device model, so it is surfaced loudly. *)
-let minimize_built b =
-  let spec, report = Minimize.run b.spec in
-  {
-    b with
-    spec;
-    datadep = Datadep.analyze spec;
-    arena = Compile.lower spec;
-    minimized = Some report;
-  }
-
-let construct ?(reduce = true) ?(minimize = false) machine ~device p1 trainer =
+let construct ?(reduce = true) machine ~device p1 trainer =
   reset_device machine ~device;
   let program = Interp.program (Vmm.Machine.interp_of machine device) in
   let collector =
@@ -83,6 +74,11 @@ let construct ?(reduce = true) ?(minimize = false) machine ~device p1 trainer =
   Ds_log.Collector.detach collector;
   let spec = Es_cfg.create ~program ~selection:p1.selection in
   Es_cfg.add_logs spec logs;
+  (* Keep only the counts: the logs are the largest training artifact,
+     and a [built] lives as long as the cache entry holding it. *)
+  let log_count = List.length logs
+  and interaction_count = Ds_log.interaction_count logs
+  and entry_count = Ds_log.entry_count logs in
   let reduced = if reduce then Es_cfg.reduce spec else 0 in
   let datadep = Datadep.analyze spec in
   (* Lower eagerly, exactly once, while [built] is still private to the
@@ -90,12 +86,20 @@ let construct ?(reduce = true) ?(minimize = false) machine ~device p1 trainer =
      this one immutable arena (the fleet cache hands the same [built] to
      every VM of a (device, version), across Runner domains). *)
   let arena = Compile.lower spec in
-  let b = { spec; p1; logs; datadep; reduced; arena; minimized = None } in
-  if minimize then minimize_built b else b
+  {
+    spec;
+    p1;
+    log_count;
+    interaction_count;
+    entry_count;
+    datadep;
+    reduced;
+    arena;
+  }
 
-let build ?reduce ?minimize machine ~device trainer =
+let build ?reduce machine ~device trainer =
   let p1 = collect machine ~device trainer in
-  construct ?reduce ?minimize machine ~device p1 trainer
+  construct ?reduce machine ~device p1 trainer
 
 let protect ?config machine ~device built =
   reset_device machine ~device;
@@ -104,8 +108,4 @@ let protect ?config machine ~device built =
 let pp_built ppf b =
   Format.fprintf ppf "@[<v>%a@,%a@,trace volume: %d bytes, %d logs, %d interactions@]"
     Es_cfg.pp_stats b.spec Datadep.pp_report b.datadep b.p1.trace_bytes
-    (List.length b.logs)
-    (Ds_log.interaction_count b.logs);
-  match b.minimized with
-  | None -> ()
-  | Some r -> Format.fprintf ppf "@,%a" Minimize.pp_report r
+    b.log_count b.interaction_count

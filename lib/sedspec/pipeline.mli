@@ -31,45 +31,26 @@ type phase1 = {
 type built = {
   spec : Es_cfg.t;
   p1 : phase1;
-  logs : Ds_log.t;
+  log_count : int;  (** Training logs collected (one per case). *)
+  interaction_count : int;  (** I/O interactions across those logs. *)
+  entry_count : int;  (** Observation-point entries across those logs. *)
   datadep : Datadep.report;
   reduced : int;  (** Nodes removed by control-flow reduction. *)
   arena : Compile.t;
       (** The spec lowered once at construction: immutable, physically
           shared by every checker {!protect} attaches from this value. *)
-  minimized : Minimize.report option;
-      (** Present when the spec went through {!Minimize.run}; [spec],
-          [datadep] and [arena] then describe the minimized spec. *)
 }
 
 val collect : Vmm.Machine.t -> device:string -> trainer -> phase1
 (** Phase 1.  Resets the device control structure first. *)
 
 val construct :
-  ?reduce:bool ->
-  ?minimize:bool ->
-  Vmm.Machine.t ->
-  device:string ->
-  phase1 ->
-  trainer ->
-  built
-(** Phase 2 ([reduce] defaults to [true]; [minimize], defaulting to
-    [false], additionally applies {!minimize_built}). *)
+  ?reduce:bool -> Vmm.Machine.t -> device:string -> phase1 -> trainer -> built
+(** Phase 2 ([reduce] defaults to [true]).  The training logs are folded
+    into the spec and then dropped; only their counts are kept. *)
 
-val build :
-  ?reduce:bool ->
-  ?minimize:bool ->
-  Vmm.Machine.t ->
-  device:string ->
-  trainer ->
-  built
+val build : ?reduce:bool -> Vmm.Machine.t -> device:string -> trainer -> built
 (** Phases 1 + 2. *)
-
-val minimize_built : built -> built
-(** Apply {!Minimize.run} to an already-built spec: replaces [spec],
-    re-analyzes [datadep], re-lowers [arena] and records the report.
-    Training artifacts ([p1], [logs], [reduced]) are kept from the
-    source build. *)
 
 val protect :
   ?config:Checker.config -> Vmm.Machine.t -> device:string -> built -> Checker.t

@@ -318,8 +318,6 @@ let broken_profile ~walk_limit =
         C.engine = C.Interpreted;
         walk_limit;
       };
-    left_source = Exec.Trained;
-    right_source = Exec.Trained;
     left_version = None;
     right_version = None;
     lenient = false;
@@ -424,39 +422,12 @@ let test_fp_candidate_reported () =
   in
   Alcotest.(check bool) "fp candidate surfaced" true (r.Loop.r_fp_candidates <> [])
 
-(* --- Minimized-spec oracle ---------------------------------------------- *)
+(* --- Engine oracle on every device ---------------------------------------- *)
 
-(* Property: for random fuzzer inputs, the minimized spec produces
-   bit-identical verdicts to the trained spec — same I/O results,
-   anomalies, warnings, halts and shadow bytes — in both engines and
-   both working modes ([Exec.minimized_profiles] covers the 2x2).  Each
-   trial drives a fresh fuzz generation from a random master seed, so
-   every run explores different mutants. *)
-let minimized_equivalence_prop =
-  QCheck.Test.make ~name:"minimized spec is verdict-equivalent under fuzzing"
-    ~count:3 QCheck.int64 (fun seed ->
-      let r =
-        Loop.run
-          {
-            (fdc_options ~budget:48 ~seed) with
-            Loop.profiles = Exec.minimized_profiles;
-          }
-      in
-      if r.Loop.r_divergent_inputs <> 0 || r.Loop.r_crashes <> 0 then
-        QCheck.Test.fail_reportf
-          "seed %Ld: %d divergent inputs, %d crashes; first: %s" seed
-          r.Loop.r_divergent_inputs r.Loop.r_crashes
-          (match r.Loop.r_findings with
-          | f :: _ ->
-            Printf.sprintf "[%s/%s] %s" f.Loop.f_profile f.Loop.f_field
-              f.Loop.f_detail
-          | [] -> "-")
-      else true)
-
-(* One deterministic pass per device with the full oracle stack (engine
-   differential + minimized differential) — the cross-device smoke the
-   qcheck property above can't afford. *)
-let test_minimized_oracle_all_devices () =
+(* One deterministic pass per device with the production oracle
+   (compiled vs interpreted, both working modes) — the only test that
+   runs the engine differential over every device. *)
+let test_engine_oracle_all_devices () =
   List.iter
     (fun device ->
       let r =
@@ -465,7 +436,7 @@ let test_minimized_oracle_all_devices () =
             (Loop.default_options ~device) with
             Loop.budget = 24;
             seed = 5L;
-            profiles = Exec.all_profiles;
+            profiles = Exec.default_profiles;
           }
       in
       Alcotest.(check int) (device ^ ": no divergences") 0
@@ -599,10 +570,9 @@ let () =
           Alcotest.test_case "delta report jobs 1 = jobs 4 bit-identical" `Slow
             test_locate_jobs_determinism;
         ] );
-      ( "minimized-oracle",
+      ( "engine-agreement",
         [
-          QCheck_alcotest.to_alcotest minimized_equivalence_prop;
-          Alcotest.test_case "all devices, full oracle" `Slow
-            test_minimized_oracle_all_devices;
+          Alcotest.test_case "all devices, default profiles" `Slow
+            test_engine_oracle_all_devices;
         ] );
     ]
