@@ -21,6 +21,7 @@
 
 module Table = Sedspec_util.Table
 module Runner = Sedspec_util.Runner
+module Json = Sedspec_util.Json
 
 let quick = ref false
 let seed = ref 42L
@@ -37,46 +38,17 @@ let jobs = ref 1
 (* Machine-readable results (--json FILE)                               *)
 
 let json_path : string option ref = ref None
-let json_out : (string * string) list ref = ref []
+let json_out : (string * Json.t) list ref = ref []
 let json_add key value = json_out := (key, value) :: !json_out
-let json_int key v = json_add key (string_of_int v)
-let json_bool key v = json_add key (string_of_bool v)
+let json_int key v = json_add key (Json.Int v)
+let json_bool key v = json_add key (Json.Bool v)
+let json_float key v = json_add key (Json.Float v)
+let json_str key v = json_add key (Json.Str v)
 
-let json_float key v =
-  json_add key (if Float.is_finite v then Printf.sprintf "%.6g" v else "null")
-
-(* RFC 8259 escaping via the shared emitter: UTF-8 prose (schema notes
-   with dashes and arrows) passes through byte-clean, unlike OCaml's %S
-   whose decimal escapes are invalid JSON. *)
-let json_str key v =
-  json_add key (Sedspec_util.Json.to_string (Sedspec_util.Json.Str v))
-
-(* Keys are ASCII identifiers, so OCaml's %S escaping is valid JSON.
-   The write is atomic (temp file + rename) and the fd is protected, so
-   an exception mid-dump never leaves a truncated JSON file behind. *)
+(* One flat object, keys in the order they were recorded. *)
 let json_write path =
-  let buf = Buffer.create 4096 in
-  let entries = List.rev !json_out in
-  let last = List.length entries - 1 in
-  Buffer.add_string buf "{\n";
-  List.iteri
-    (fun i (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %S: %s%s\n" k v (if i < last then "," else "")))
-    entries;
-  Buffer.add_string buf "}\n";
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Buffer.output_buffer oc buf)
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Sedspec_util.File.write_atomic path
+    (Json.to_string (Json.Obj (List.rev !json_out)))
 
 let strategies =
   [
@@ -1176,41 +1148,39 @@ let hostile_bench () =
     "benign soak (%d ops, virtio): unguarded %.2f ms, guarded %.2f ms (%+.1f%%)\n"
     ops (base *. 1000.) (guarded *. 1000.) overhead;
   json_float "hostile.guard_overhead_pct" overhead;
+  let module Campaign = Faultinj.Campaign in
   let opts =
     {
-      Faultinj.Campaign.default_hostile_options with
-      h_plans_per_combo = (if !quick then 6 else 18);
-      h_cases_per_plan = (if !quick then 2 else 4);
-      h_ops_per_case = (if !quick then 4 else 8);
-      h_min_injected = 1;
-      h_seed = !seed;
-      h_jobs = !jobs;
+      (Campaign.default_options Faultinj.Plan.Hostile) with
+      plans_per_combo = (if !quick then 6 else 18);
+      cases_per_plan = (if !quick then 2 else 4);
+      ops_per_case = (if !quick then 4 else 8);
+      min_injected = 1;
+      seed = !seed;
+      jobs = !jobs;
     }
   in
   let t0 = Unix.gettimeofday () in
-  let r = Faultinj.Campaign.run_hostile opts in
+  let r = Campaign.run opts in
   let dt = Unix.gettimeofday () -. t0 in
-  let t = Faultinj.Campaign.hostile_totals r in
+  let t = Campaign.totals r in
   Printf.printf
     "campaign (sdhci+virtio, both modes x both engines): %d injected, %d \
      contained, %d escaped, %d fail-open in %.1fs\n"
-    t.Faultinj.Campaign.hc_injected t.Faultinj.Campaign.hc_contained
-    t.Faultinj.Campaign.hc_escaped t.Faultinj.Campaign.hc_fail_open dt;
+    t.injected t.contained t.escaped t.fail_open dt;
   Printf.printf
     "  guard anomalies %d, halts %d, warns %d, rollbacks %d, breaker trips \
      %d, heals %d\n"
-    t.Faultinj.Campaign.hc_guard_anoms t.Faultinj.Campaign.hc_halts
-    t.Faultinj.Campaign.hc_warns t.Faultinj.Campaign.hc_rollbacks
-    t.Faultinj.Campaign.hc_breaker_trips t.Faultinj.Campaign.hc_heals;
-  json_int "hostile.injected" t.Faultinj.Campaign.hc_injected;
-  json_int "hostile.contained" t.Faultinj.Campaign.hc_contained;
-  json_int "hostile.escaped" t.Faultinj.Campaign.hc_escaped;
-  json_int "hostile.fail_open" t.Faultinj.Campaign.hc_fail_open;
-  json_int "hostile.guard_anomalies" t.Faultinj.Campaign.hc_guard_anoms;
-  json_int "hostile.rollbacks" t.Faultinj.Campaign.hc_rollbacks;
-  json_bool "hostile.passed" (Faultinj.Campaign.hostile_passed r);
+    t.guard_anomalies t.halts t.warns t.rollbacks t.breaker_trips t.heals;
+  json_int "hostile.injected" t.injected;
+  json_int "hostile.contained" t.contained;
+  json_int "hostile.escaped" t.escaped;
+  json_int "hostile.fail_open" t.fail_open;
+  json_int "hostile.guard_anomalies" t.guard_anomalies;
+  json_int "hostile.rollbacks" t.rollbacks;
+  json_bool "hostile.passed" (Campaign.passed r);
   Printf.printf "verdict: %s (escapes and silent fail-opens must be zero)\n"
-    (if Faultinj.Campaign.hostile_passed r then "PASS" else "FAIL")
+    (if Campaign.passed r then "PASS" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
 (* Rollout: shadow-walk overhead + the candidate ladder.                *)

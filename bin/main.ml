@@ -20,6 +20,17 @@ let find_device name =
     Printf.eprintf "unknown device %s (fdc|ehci|pcnet|sdhci|scsi|virtio)\n" name;
     exit 2
 
+(* A comma-separated device list, or 'all' for every device. *)
+let parse_devices = function
+  | "all" ->
+    List.map
+      (fun (module W : Workload.Samples.DEVICE_WORKLOAD) -> W.device_name)
+      Workload.Samples.all
+  | spec ->
+    let ds = String.split_on_char ',' spec in
+    List.iter (fun d -> ignore (find_device d)) ds;
+    ds
+
 (* --- list -------------------------------------------------------------- *)
 
 let list_cmd =
@@ -330,12 +341,7 @@ let fuzz_cmd =
             (Sedspec_util.Json.List
                (List.map Fuzz.Loop.report_to_json rs))
       in
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
+      Sedspec_util.File.write_atomic file body
     | None -> ());
     if
       List.exists
@@ -416,12 +422,7 @@ let locate_cmd =
     Format.printf "%a@." Fuzz.Delta.pp report;
     (match json with
     | Some file ->
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Fuzz.Delta.to_string report));
-      Sys.rename tmp file
+      Sedspec_util.File.write_atomic file (Fuzz.Delta.to_string report)
     | None -> ());
     if
       check
@@ -474,19 +475,7 @@ let fleet_cmd =
   in
   let run device vms ticks ops seed jobs deadline json training =
     setup_training training;
-    let devices =
-      if device = "all" then
-        List.map
-          (fun w ->
-            let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-            W.device_name)
-          Workload.Samples.all
-      else begin
-        let ds = String.split_on_char ',' device in
-        List.iter (fun d -> ignore (find_device d)) ds;
-        ds
-      end
-    in
+    let devices = parse_devices device in
     let opts =
       {
         Fleet.Supervisor.vms;
@@ -508,12 +497,7 @@ let fleet_cmd =
     match json with
     | Some file ->
       let body = Fleet.Supervisor.report_to_json r in
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
+      Sedspec_util.File.write_atomic file body
     | None -> ()
   in
   Cmd.v
@@ -669,12 +653,7 @@ let evolve_cmd =
       let body =
         Sedspec_util.Json.to_string (Fleet.Rollout.outcome_to_json o)
       in
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
+      Sedspec_util.File.write_atomic file body
     | None -> ());
     match expect with
     | Some want ->
@@ -698,27 +677,61 @@ let evolve_cmd =
 (* --- faultinj -------------------------------------------------------------- *)
 
 let faultinj_cmd =
+  let module Campaign = Faultinj.Campaign in
+  let substrate = Campaign.default_options Faultinj.Plan.Substrate
+  and hostile = Campaign.default_options Faultinj.Plan.Hostile in
+  (* Campaign options left unset take the selected direction's default. *)
+  let defaulted name ~conv:c ~docv doc pick =
+    let show o = Format.asprintf "%a" (Arg.conv_printer c) (pick o) in
+    let doc =
+      if show substrate = show hostile then
+        Printf.sprintf "%s (default %s)." doc (show substrate)
+      else
+        Printf.sprintf "%s (default %s, or %s with $(b,--hostile))." doc
+          (show substrate) (show hostile)
+    in
+    Arg.(value & opt (some c) None & info [ name ] ~docv ~doc)
+  in
+  let hostile_arg =
+    let doc =
+      "Corrupt the host->guest direction (device read returns, DMA lengths, \
+       completion stores, IRQ storms) under the guest-side validator, \
+       instead of the substrate (guest memory, persisted spec, walk)."
+    in
+    Arg.(value & flag & info [ "hostile" ] ~doc)
+  in
   let devices_arg =
     let doc =
-      "Comma-separated devices (fdc, ehci, pcnet, sdhci, scsi, virtio) or 'all'."
+      Printf.sprintf
+        "Comma-separated devices (fdc, ehci, pcnet, sdhci, scsi, virtio) or \
+         'all' (default all, or %s with $(b,--hostile))."
+        (String.concat "," hostile.Campaign.devices)
     in
-    Arg.(value & opt string "all" & info [ "device" ] ~docv:"DEVICES" ~doc)
+    Arg.(value & opt (some string) None & info [ "device" ] ~docv:"DEVICES" ~doc)
   in
   let plans_arg =
-    let doc = "Fault plans per device-mode-engine combination." in
-    Arg.(value & opt int 12 & info [ "plans" ] ~docv:"N" ~doc)
+    defaulted "plans" ~conv:Arg.int ~docv:"N"
+      "Fault plans per device-mode-engine combination"
+      (fun o -> o.Campaign.plans_per_combo)
   in
   let cases_arg =
-    let doc = "Soak cases run while each plan is armed." in
-    Arg.(value & opt int 3 & info [ "cases" ] ~docv:"N" ~doc)
+    defaulted "cases" ~conv:Arg.int ~docv:"N"
+      "Soak cases run while each plan is armed"
+      (fun o -> o.Campaign.cases_per_plan)
   in
   let ops_arg =
-    let doc = "Logical operations per soak case." in
-    Arg.(value & opt int 6 & info [ "ops" ] ~docv:"N" ~doc)
+    defaulted "ops" ~conv:Arg.int ~docv:"N" "Logical operations per soak case"
+      (fun o -> o.Campaign.ops_per_case)
+  in
+  let min_injected_arg =
+    defaulted "min-injected" ~conv:Arg.int ~docv:"N"
+      "Fail unless at least $(docv) faults were injected"
+      (fun o -> o.Campaign.min_injected)
   in
   let seed_arg =
-    let doc = "Master PRNG seed (plans and workloads replay exactly)." in
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
+    defaulted "seed" ~conv:Arg.int64 ~docv:"SEED"
+      "Master PRNG seed; plans and workloads replay exactly"
+      (fun o -> o.Campaign.seed)
   in
   let json_arg =
     let doc = "Write the JSON report to $(docv)." in
@@ -739,194 +752,74 @@ let faultinj_cmd =
     let doc = "Supervision periods per VM (fleet mode)." in
     Arg.(value & opt int 24 & info [ "fleet-ticks" ] ~docv:"N" ~doc)
   in
-  let write_json json body =
-    match json with
-    | Some file ->
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
-    | None -> ()
-  in
-  let run device plans cases ops seed jobs json fleet_vms fleet_faulty
-      fleet_ticks training =
+  let run hostile device plans cases ops min_injected seed jobs json fleet_vms
+      fleet_faulty fleet_ticks training =
     setup_training training;
-    let devices =
-      if device = "all" then
-        List.map
-          (fun w ->
-            let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-            W.device_name)
-          Workload.Samples.all
-      else begin
-        let ds = String.split_on_char ',' device in
-        List.iter (fun d -> ignore (find_device d)) ds;
-        ds
-      end
+    let direction =
+      if hostile then Faultinj.Plan.Hostile else Faultinj.Plan.Substrate
+    in
+    let d = Campaign.default_options direction in
+    let devices = Option.fold ~none:d.devices ~some:parse_devices device in
+    let seed = Option.value seed ~default:d.seed in
+    let write_json to_json r =
+      Option.iter
+        (fun file ->
+          Sedspec_util.File.write_atomic file
+            (Sedspec_util.Json.to_string (to_json r)))
+        json
     in
     if fleet_vms > 0 then begin
-      let opts =
-        {
-          Faultinj.Campaign.fl_vms = fleet_vms;
-          fl_faulty = fleet_faulty;
-          fl_ticks = fleet_ticks;
-          fl_seed = seed;
-          fl_jobs = jobs;
-          fl_devices = devices;
-        }
+      if fleet_faulty < 1 || fleet_faulty > fleet_vms then begin
+        Printf.eprintf
+          "--fleet-faulty must be between 1 and --fleet-vms (got %d of %d)\n"
+          fleet_faulty fleet_vms;
+        exit 2
+      end;
+      let r =
+        Campaign.isolation direction
+          {
+            Campaign.fl_vms = fleet_vms;
+            fl_faulty = fleet_faulty;
+            fl_ticks = fleet_ticks;
+            fl_seed = seed;
+            fl_jobs = jobs;
+            fl_devices = devices;
+          }
       in
-      let r = Faultinj.Campaign.fleet_isolation opts in
-      Format.printf "%a" Faultinj.Campaign.pp_fleet_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.fleet_report_to_json r));
-      if not (Faultinj.Campaign.fleet_passed r) then exit 1
+      Format.printf "%a" Campaign.pp_fleet_report r;
+      write_json Campaign.fleet_report_to_json r;
+      if not (Campaign.fleet_passed r) then exit 1
     end
     else begin
-      let opts =
-        {
-          Faultinj.Campaign.devices;
-          plans_per_combo = plans;
-          cases_per_plan = cases;
-          ops_per_case = ops;
-          seed;
-          jobs;
-        }
+      let r =
+        Campaign.run
+          {
+            Campaign.direction;
+            devices;
+            plans_per_combo = Option.value plans ~default:d.plans_per_combo;
+            cases_per_plan = Option.value cases ~default:d.cases_per_plan;
+            ops_per_case = Option.value ops ~default:d.ops_per_case;
+            min_injected = Option.value min_injected ~default:d.min_injected;
+            seed;
+            jobs;
+          }
       in
-      let r = Faultinj.Campaign.run opts in
-      Format.printf "%a" Faultinj.Campaign.pp_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.report_to_json r));
-      if not (Faultinj.Campaign.passed r) then exit 1
+      Format.printf "%a" Campaign.pp_report r;
+      write_json Campaign.report_to_json r;
+      if not (Campaign.passed r) then exit 1
     end
   in
   Cmd.v
     (Cmd.info "faultinj"
        ~doc:
          "Deterministic fault-injection campaign against the checker's \
-          containment (exits 1 on any escaped exception or silent fail-open); \
-          --fleet-vms switches to the fleet bulkhead-isolation campaign")
-    Term.(const run $ devices_arg $ plans_arg $ cases_arg $ ops_arg $ seed_arg
-          $ jobs_arg $ json_arg $ fleet_vms_arg $ fleet_faulty_arg
-          $ fleet_ticks_arg $ training_cases_arg)
-
-
-(* --- hostile --------------------------------------------------------------- *)
-
-let hostile_cmd =
-  let devices_arg =
-    let doc =
-      "Comma-separated devices under hostile response corruption (fdc, ehci, \
-       pcnet, sdhci, scsi, virtio)."
-    in
-    Arg.(value & opt string "sdhci,virtio" & info [ "device" ] ~docv:"DEVICES" ~doc)
-  in
-  let plans_arg =
-    let doc = "Hostile fault plans per device-mode-engine combination." in
-    Arg.(value & opt int 36 & info [ "plans" ] ~docv:"N" ~doc)
-  in
-  let cases_arg =
-    let doc = "Soak cases run while each plan is armed." in
-    Arg.(value & opt int 6 & info [ "cases" ] ~docv:"N" ~doc)
-  in
-  let ops_arg =
-    let doc = "Logical operations per soak case." in
-    Arg.(value & opt int 10 & info [ "ops" ] ~docv:"N" ~doc)
-  in
-  let min_injected_arg =
-    let doc = "Fail unless at least $(docv) corruptions were injected." in
-    Arg.(value & opt int 5000 & info [ "min-injected" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc = "Master PRNG seed (plans and workloads replay exactly)." in
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let isolation_vms_arg =
-    let doc =
-      "Run the hostile fleet-isolation campaign over $(docv) guarded VMs \
-       instead of the per-combo campaign (0 keeps the per-combo campaign)."
-    in
-    Arg.(value & opt int 0 & info [ "isolation-vms" ] ~docv:"N" ~doc)
-  in
-  let isolation_faulty_arg =
-    let doc = "Fleet members carrying a hostile device model (isolation mode)." in
-    Arg.(value & opt int 3 & info [ "isolation-faulty" ] ~docv:"N" ~doc)
-  in
-  let isolation_ticks_arg =
-    let doc = "Supervision periods per VM (isolation mode)." in
-    Arg.(value & opt int 24 & info [ "isolation-ticks" ] ~docv:"N" ~doc)
-  in
-  let write_json json body =
-    match json with
-    | Some file ->
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
-    | None -> ()
-  in
-  let run device plans cases ops min_injected seed jobs json isolation_vms
-      isolation_faulty isolation_ticks training =
-    setup_training training;
-    let devices =
-      let ds = String.split_on_char ',' device in
-      List.iter (fun d -> ignore (find_device d)) ds;
-      ds
-    in
-    if isolation_vms > 0 then begin
-      let opts =
-        {
-          Faultinj.Campaign.fl_vms = isolation_vms;
-          fl_faulty = isolation_faulty;
-          fl_ticks = isolation_ticks;
-          fl_seed = seed;
-          fl_jobs = jobs;
-          fl_devices = devices;
-        }
-      in
-      let r = Faultinj.Campaign.hostile_isolation opts in
-      Format.printf "%a" Faultinj.Campaign.pp_fleet_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.fleet_report_to_json r));
-      if not (Faultinj.Campaign.fleet_passed r) then exit 1
-    end
-    else begin
-      let opts =
-        {
-          Faultinj.Campaign.h_devices = devices;
-          h_plans_per_combo = plans;
-          h_cases_per_plan = cases;
-          h_ops_per_case = ops;
-          h_min_injected = min_injected;
-          h_seed = seed;
-          h_jobs = jobs;
-        }
-      in
-      let r = Faultinj.Campaign.run_hostile opts in
-      Format.printf "%a" Faultinj.Campaign.pp_hostile_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.hostile_report_to_json r));
-      if not (Faultinj.Campaign.hostile_passed r) then exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "hostile"
-       ~doc:
-         "Hostile-device campaign: seeded corruption of device responses \
-          (read returns, DMA lengths, completion stores, IRQ storms) under \
-          the guest-side validator; exits 1 on any escaped exception, silent \
-          fail-open, or too few injections; --isolation-vms switches to the \
-          guarded fleet-isolation campaign")
-    Term.(const run $ devices_arg $ plans_arg $ cases_arg $ ops_arg
-          $ min_injected_arg $ seed_arg $ jobs_arg $ json_arg
-          $ isolation_vms_arg $ isolation_faulty_arg $ isolation_ticks_arg
+          containment (exits 1 on any escaped exception, silent fail-open or \
+          too few injections); --hostile corrupts device responses under the \
+          guest-side validator; --fleet-vms switches to the fleet \
+          bulkhead-isolation campaign")
+    Term.(const run $ hostile_arg $ devices_arg $ plans_arg $ cases_arg
+          $ ops_arg $ min_injected_arg $ seed_arg $ jobs_arg $ json_arg
+          $ fleet_vms_arg $ fleet_faulty_arg $ fleet_ticks_arg
           $ training_cases_arg)
 
 (* --- check-spec ----------------------------------------------------------- *)
@@ -980,7 +873,6 @@ let () =
             fleet_cmd;
             evolve_cmd;
             faultinj_cmd;
-            hostile_cmd;
             check_spec_cmd;
             dump_device_cmd;
           ]))

@@ -52,7 +52,11 @@ let dictionary =
       Array.map Int64.of_int bursts;
     ]
 
-let gen_site rng =
+type direction = Substrate | Hostile
+
+(* Substrate sites: the guest memory, persisted spec and walk seams the
+   checker depends on but does not control. *)
+let gen_substrate_site rng =
   match Prng.int rng 6 with
   | 0 -> Guest_corrupt { mask = Prng.pick rng masks }
   | 1 -> Guest_short { limit = Prng.pick rng limits }
@@ -71,7 +75,12 @@ let gen_hostile_site rng =
   | 3 -> Resp_irq_storm { burst = Prng.pick rng bursts }
   | _ -> Guard_raise { at_check = Prng.int rng 24 }
 
-let generate_with gen rng ~n =
+let generate direction rng ~n =
+  let gen =
+    match direction with
+    | Substrate -> gen_substrate_site
+    | Hostile -> gen_hostile_site
+  in
   List.init n (fun id ->
       let site = gen rng in
       let policy : Sedspec.Checker.containment =
@@ -80,8 +89,29 @@ let generate_with gen rng ~n =
       in
       { id; site; policy })
 
-let generate rng ~n = generate_with gen_site rng ~n
-let generate_hostile rng ~n = generate_with gen_hostile_site rng ~n
+(* Sites armed on a live fleet member.  Substrate: the spec sites are
+   exercised by the load path (Vm's backoff'd Persist retries), not by
+   arming.  Hostile: [Guard_raise] cannot flow through the supervisor's
+   arm seam (it has no validator handle), so the pool is the four
+   corruption sites. *)
+let fleet_site direction rng =
+  match direction with
+  | Substrate -> (
+    match Prng.int rng 4 with
+    | 0 -> Guest_corrupt { mask = Prng.pick rng masks }
+    | 1 -> Guest_short { limit = Prng.pick rng limits }
+    | 2 -> Walk_raise { at_walk = Prng.int rng 6 }
+    | _ -> Walk_delay { at_walk = Prng.int rng 6; spin = Prng.pick rng spins })
+  | Hostile -> (
+    match Prng.int rng 4 with
+    | 0 -> Resp_read_corrupt { mask = Prng.pick rng masks }
+    | 1 -> Resp_dma_len { delta = Prng.pick rng resp_deltas }
+    | 2 -> Resp_store_corrupt { mask = Prng.pick rng masks }
+    | _ -> Resp_irq_storm { burst = Prng.pick rng bursts })
+
+let direction_to_string = function
+  | Substrate -> "substrate"
+  | Hostile -> "hostile"
 
 let site_to_string = function
   | Guest_corrupt { mask } -> Printf.sprintf "guest-corrupt mask=0x%Lx" mask

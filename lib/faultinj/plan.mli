@@ -1,8 +1,9 @@
 (** Deterministic fault plans.
 
-    A plan is one seeded, replayable fault at one of the three substrate
-    seams the checker depends on but does not control:
+    A plan is one seeded, replayable fault at one seam the checker
+    depends on but does not control.  Plans come in two directions.
 
+    {b Substrate} (guest->host): the seams under the checker.
     - {b guest memory}: byte reads return corrupted data
       ([Guest_corrupt], a pure address-keyed XOR so the device and both
       walk engines observe the same wrong value) or short data
@@ -13,6 +14,11 @@
     - {b the walk itself}: a synthetic exception or latency spike fires
       at the top of the k-th walk, under either engine
       ([Checker.set_fault_hook]).
+
+    {b Hostile} (host->guest): what a hostile device model feeds back to
+    the guest — register read-returns, outbound DMA lengths, completion
+    stores, IRQ edges — plus a synthetic fault inside the guest-side
+    validator itself.
 
     Plans carry the containment policy the checker runs under, so a
     fixed seed replays the exact campaign. *)
@@ -52,16 +58,25 @@ type t = { id : int; site : site; policy : Sedspec.Checker.containment }
 exception Injected of string
 (** The synthetic fault [Walk_raise] throws from inside the checker. *)
 
-val generate : Sedspec_util.Prng.t -> n:int -> t list
-(** [n] plans drawn from the generator: site uniform over the six
-    substrate kinds, parameters from {!dictionary}-style constants,
+type direction =
+  | Substrate  (** Guest memory, persisted spec and walk sites. *)
+  | Hostile  (** [Resp_*] sites and [Guard_raise]. *)
+
+val generate : direction -> Sedspec_util.Prng.t -> n:int -> t list
+(** [n] plans drawn from the generator: site uniform over the
+    direction's kinds (the six substrate sites, or the four [Resp_*]
+    sites plus [Guard_raise]), parameters from the constant pools below,
     policy fail-closed 3/4 of the time.  Pure function of the PRNG
     state. *)
 
-val generate_hostile : Sedspec_util.Prng.t -> n:int -> t list
-(** Like {!generate} but over the five hostile-device sites
-    ([Resp_read_corrupt], [Resp_dma_len], [Resp_store_corrupt],
-    [Resp_irq_storm], [Guard_raise]) — the host->guest direction. *)
+val fleet_site : direction -> Sedspec_util.Prng.t -> site
+(** One site to arm on a live fleet member: uniform over the direction's
+    machine sites ([Guest_corrupt], [Guest_short], [Walk_raise],
+    [Walk_delay]; or the four [Resp_*] sites).  The spec sites and
+    [Guard_raise] cannot be armed through the fleet supervisor. *)
+
+val direction_to_string : direction -> string
+(** ["substrate"] or ["hostile"]. *)
 
 val site_to_string : site -> string
 val to_string : t -> string
@@ -76,5 +91,5 @@ val limits : int64 array
 val spins : int array
 val resp_deltas : int array
 val bursts : int array
-(** The individual constant pools {!generate}/{!generate_hostile} draw
+(** The individual constant pools {!generate} and {!fleet_site} draw
     from. *)

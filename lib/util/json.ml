@@ -1,7 +1,7 @@
 (* Minimal deterministic JSON emitter: object fields are emitted in the
-   order given, floats through %.17g (shortest round-trip not needed —
-   reports compare textually), strings escaped per RFC 8259.  No parser:
-   the repo only ever writes JSON. *)
+   order given, finite floats through %.17g (shortest round-trip not
+   needed — reports compare textually), strings escaped per RFC 8259.
+   No parser: the repo only ever writes JSON. *)
 
 type t =
   | Null
@@ -28,8 +28,10 @@ let escape_string s =
     s;
   Buffer.contents b
 
+(* JSON has no NaN or infinity: render them as null. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 

@@ -9,7 +9,7 @@ type t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float
+  | Float of float  (** NaN and infinities render as [null]. *)
   | Str of string
   | List of t list
   | Obj of (string * t) list

@@ -1,7 +1,8 @@
 (* Tests for the deterministic fault-injection harness (lib/faultinj):
-   plan generation, the pure corruption primitives, spec-corruption
-   detection, and a small end-to-end campaign whose report must be
-   bit-identical across worker counts and free of escapes. *)
+   plan generation in both directions, the pure corruption primitives,
+   spec-corruption detection, and a small end-to-end campaign whose
+   report must be bit-identical across worker counts and free of
+   escapes. *)
 
 module Prng = Sedspec_util.Prng
 module Plan = Faultinj.Plan
@@ -12,35 +13,53 @@ module Campaign = Faultinj.Campaign
    the single-flight cache. *)
 let () = Metrics.Spec_cache.training_cases := 12
 
+let is_hostile_site : Plan.site -> bool = function
+  | Plan.Resp_read_corrupt _ | Plan.Resp_dma_len _ | Plan.Resp_store_corrupt _
+  | Plan.Resp_irq_storm _ | Plan.Guard_raise _ ->
+    true
+  | Plan.Guest_corrupt _ | Plan.Guest_short _ | Plan.Spec_bit_flip _
+  | Plan.Spec_truncate | Plan.Walk_raise _ | Plan.Walk_delay _ ->
+    false
+
 let test_plan_generation_deterministic () =
-  let gen seed = Plan.generate (Prng.create seed) ~n:24 in
-  Alcotest.(check bool) "same seed, same plans" true (gen 7L = gen 7L);
-  Alcotest.(check bool) "different seeds differ" true (gen 7L <> gen 8L);
-  let plans = gen 7L in
-  Alcotest.(check int) "n plans" 24 (List.length plans);
-  (* The generator draws every parameter from the published pools. *)
   List.iter
-    (fun (p : Plan.t) ->
-      match p.site with
-      | Plan.Guest_corrupt { mask } ->
-        Alcotest.(check bool) "mask from pool" true (Array.mem mask Plan.masks)
-      | Plan.Guest_short { limit } ->
-        Alcotest.(check bool) "limit from pool" true
-          (Array.mem limit Plan.limits)
-      | Plan.Walk_delay { spin; _ } ->
-        Alcotest.(check bool) "spin from pool" true (Array.mem spin Plan.spins)
-      | Plan.Resp_dma_len { delta } ->
-        Alcotest.(check bool) "delta from pool" true
-          (Array.mem delta Plan.resp_deltas)
-      | Plan.Resp_irq_storm { burst } ->
-        Alcotest.(check bool) "burst from pool" true
-          (Array.mem burst Plan.bursts)
-      | Plan.Resp_read_corrupt { mask } | Plan.Resp_store_corrupt { mask } ->
-        Alcotest.(check bool) "resp mask from pool" true
-          (Array.mem mask Plan.masks)
-      | Plan.Spec_bit_flip _ | Plan.Spec_truncate | Plan.Walk_raise _
-      | Plan.Guard_raise _ -> ())
-    plans
+    (fun direction ->
+      let gen seed = Plan.generate direction (Prng.create seed) ~n:24 in
+      Alcotest.(check bool) "same seed, same plans" true (gen 7L = gen 7L);
+      Alcotest.(check bool) "different seeds differ" true (gen 7L <> gen 8L);
+      let plans = gen 7L in
+      Alcotest.(check int) "n plans" 24 (List.length plans);
+      (* Each direction draws only its own sites, and every parameter
+         from the published pools. *)
+      List.iter
+        (fun (p : Plan.t) ->
+          Alcotest.(check bool)
+            (Plan.site_to_string p.site ^ " belongs to the direction")
+            (direction = Plan.Hostile) (is_hostile_site p.site);
+          match p.site with
+          | Plan.Guest_corrupt { mask } ->
+            Alcotest.(check bool) "mask from pool" true
+              (Array.mem mask Plan.masks)
+          | Plan.Guest_short { limit } ->
+            Alcotest.(check bool) "limit from pool" true
+              (Array.mem limit Plan.limits)
+          | Plan.Walk_delay { spin; _ } ->
+            Alcotest.(check bool) "spin from pool" true
+              (Array.mem spin Plan.spins)
+          | Plan.Resp_dma_len { delta } ->
+            Alcotest.(check bool) "delta from pool" true
+              (Array.mem delta Plan.resp_deltas)
+          | Plan.Resp_irq_storm { burst } ->
+            Alcotest.(check bool) "burst from pool" true
+              (Array.mem burst Plan.bursts)
+          | Plan.Resp_read_corrupt { mask } | Plan.Resp_store_corrupt { mask }
+            ->
+            Alcotest.(check bool) "resp mask from pool" true
+              (Array.mem mask Plan.masks)
+          | Plan.Spec_bit_flip _ | Plan.Spec_truncate | Plan.Walk_raise _
+          | Plan.Guard_raise _ -> ())
+        plans)
+    [ Plan.Substrate; Plan.Hostile ]
 
 let test_corrupt_byte_pure_and_partial () =
   (* The corruption pattern is a pure function of (addr, mask): the same
@@ -99,7 +118,8 @@ let test_corrupt_spec_never_silent () =
 
 let smoke_opts jobs =
   {
-    Campaign.devices = [ "fdc" ];
+    (Campaign.default_options Plan.Substrate) with
+    devices = [ "fdc" ];
     plans_per_combo = 4;
     cases_per_plan = 2;
     ops_per_case = 3;
@@ -126,6 +146,49 @@ let test_campaign_jobs_bit_identical () =
   let r2 = render (Campaign.run (smoke_opts 2)) in
   Alcotest.(check string) "jobs 1 = jobs 2" r1 r2
 
+(* A campaign that injected nothing proves nothing: zero plans must fail
+   the verdict in both directions. *)
+let empty_run direction =
+  Campaign.run
+    {
+      (Campaign.default_options direction) with
+      devices = [ "fdc" ];
+      plans_per_combo = 0;
+    }
+
+let test_campaign_empty_fails () =
+  List.iter
+    (fun direction ->
+      let r = empty_run direction in
+      Alcotest.(check int) "nothing injected" 0 (Campaign.totals r).injected;
+      Alcotest.(check bool)
+        (Plan.direction_to_string direction ^ " verdict fails")
+        false (Campaign.passed r))
+    [ Plan.Substrate; Plan.Hostile ]
+
+let test_campaign_one_schema () =
+  let keys = function
+    | Sedspec_util.Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "expected an object"
+  in
+  let shape direction =
+    match Campaign.report_to_json (empty_run direction) with
+    | Sedspec_util.Json.Obj fields ->
+      let combo =
+        match List.assoc "combos" fields with
+        | Sedspec_util.Json.List (c :: _) -> keys c
+        | _ -> Alcotest.fail "expected combos"
+      in
+      (List.map fst fields, combo, keys (List.assoc "totals" fields))
+    | _ -> Alcotest.fail "expected an object"
+  in
+  let top_s, combo_s, totals_s = shape Plan.Substrate
+  and top_h, combo_h, totals_h = shape Plan.Hostile in
+  Alcotest.(check (list string)) "report keys" top_s top_h;
+  Alcotest.(check (list string)) "combo keys" combo_s combo_h;
+  Alcotest.(check (list string)) "totals keys" totals_s totals_h;
+  Alcotest.(check int) "13 counters" 13 (List.length totals_s)
+
 let () =
   Alcotest.run "faultinj"
     [
@@ -149,5 +212,9 @@ let () =
             test_campaign_contains_everything;
           Alcotest.test_case "jobs 1 = jobs 2 bit-identical" `Quick
             test_campaign_jobs_bit_identical;
+          Alcotest.test_case "zero injections never pass" `Quick
+            test_campaign_empty_fails;
+          Alcotest.test_case "one schema for both directions" `Quick
+            test_campaign_one_schema;
         ] );
     ]

@@ -582,7 +582,7 @@ let test_budget_window () =
 
 let test_fleet_isolation_smoke () =
   let r =
-    Faultinj.Campaign.fleet_isolation
+    Faultinj.Campaign.isolation Faultinj.Plan.Substrate
       {
         Faultinj.Campaign.fl_vms = 4;
         fl_faulty = 2;

@@ -139,36 +139,37 @@ let test_reset_clears_state () =
 
 let hostile_opts jobs =
   {
-    Campaign.h_devices = [ "fdc" ];
-    h_plans_per_combo = 3;
-    h_cases_per_plan = 1;
-    h_ops_per_case = 3;
-    h_min_injected = 1;
-    h_seed = 5L;
-    h_jobs = jobs;
+    (Campaign.default_options Faultinj.Plan.Hostile) with
+    devices = [ "fdc" ];
+    plans_per_combo = 3;
+    cases_per_plan = 1;
+    ops_per_case = 3;
+    min_injected = 1;
+    seed = 5L;
+    jobs;
   }
 
-let hostile_smoke = lazy (Campaign.run_hostile (hostile_opts 1))
+let hostile_smoke = lazy (Campaign.run (hostile_opts 1))
 
 let test_hostile_campaign_smoke () =
   let r = Lazy.force hostile_smoke in
-  let t = Campaign.hostile_totals r in
-  Alcotest.(check bool) "corruptions injected" true (t.Campaign.hc_injected > 0);
-  Alcotest.(check int) "no escaped exceptions" 0 t.Campaign.hc_escaped;
-  Alcotest.(check int) "no silent fail-opens" 0 t.Campaign.hc_fail_open;
-  Alcotest.(check bool) "verdict passes" true (Campaign.hostile_passed r);
+  let t = Campaign.totals r in
+  Alcotest.(check bool) "corruptions injected" true (t.Campaign.injected > 0);
+  Alcotest.(check int) "no escaped exceptions" 0 t.Campaign.escaped;
+  Alcotest.(check int) "no silent fail-opens" 0 t.Campaign.fail_open;
+  Alcotest.(check bool) "verdict passes" true (Campaign.passed r);
   Alcotest.(check int) "four combos for one device" 4
-    (List.length r.Campaign.h_combos)
+    (List.length r.Campaign.combos)
 
 let test_hostile_jobs_bit_identical () =
-  let render r = Sedspec_util.Json.to_string (Campaign.hostile_report_to_json r) in
+  let render r = Sedspec_util.Json.to_string (Campaign.report_to_json r) in
   let r1 = render (Lazy.force hostile_smoke) in
-  let r2 = render (Campaign.run_hostile (hostile_opts 2)) in
+  let r2 = render (Campaign.run (hostile_opts 2)) in
   Alcotest.(check string) "jobs 1 = jobs 2" r1 r2
 
 let test_hostile_isolation () =
   let r =
-    Campaign.hostile_isolation
+    Campaign.isolation Faultinj.Plan.Hostile
       {
         Campaign.fl_vms = 3;
         fl_faulty = 1;

@@ -355,6 +355,58 @@ let test_backoff_preconditions () =
   Alcotest.check_raises "max_attempts 0" (Invalid_argument "Backoff.retry: max_attempts must be >= 1")
     (fun () -> ignore (Backoff.retry ~seed:1L ~max_attempts:0 (fun ~attempt:_ -> Ok ())))
 
+(* --- Json / File -------------------------------------------------------- *)
+
+module Json = Sedspec_util.Json
+module File = Sedspec_util.File
+
+let test_json_non_finite_null () =
+  Alcotest.(check string) "nan, inf, -inf render as null"
+    "[\n  null,\n  null,\n  null,\n  1.5\n]\n"
+    (Json.to_string
+       (Json.List
+          [
+            Json.Float Float.nan;
+            Json.Float Float.infinity;
+            Json.Float Float.neg_infinity;
+            Json.Float 1.5;
+          ]))
+
+let read_file path =
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_write_atomic () =
+  let dir = Filename.temp_dir "sedspec-test" "" in
+  let path = Filename.concat dir "out.json" in
+  File.write_atomic path (String.make 4096 'a');
+  File.write_atomic path "short";
+  Alcotest.(check string) "overwrite replaces the content whole" "short"
+    (read_file path);
+  Alcotest.(check (array string)) "no temp file beside it" [| "out.json" |]
+    (Sys.readdir dir);
+  let missing = Filename.concat dir "missing" in
+  (match File.write_atomic (Filename.concat missing "out.json") "x" with
+  | () -> Alcotest.fail "write into a missing directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check bool) "missing directory not created" false
+    (Sys.file_exists missing);
+  (* A rename onto a non-empty directory fails after the temp file was
+     written: it must be removed. *)
+  let sub = Filename.concat dir "sub" in
+  Sys.mkdir sub 0o755;
+  File.write_atomic (Filename.concat sub "keep") "k";
+  (match File.write_atomic sub "x" with
+  | () -> Alcotest.fail "rename onto a directory succeeded"
+  | exception Sys_error _ -> ());
+  let entries = Sys.readdir dir in
+  Array.sort compare entries;
+  Alcotest.(check (array string)) "failed writes leave no temp file"
+    [| "out.json"; "sub" |] entries;
+  Sys.remove (Filename.concat sub "keep");
+  Sys.rmdir sub;
+  Sys.remove path;
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "util"
     [
@@ -401,6 +453,13 @@ let () =
             test_backoff_retry_accounting;
           Alcotest.test_case "preconditions raise" `Quick
             test_backoff_preconditions;
+        ] );
+      ( "file",
+        [
+          Alcotest.test_case "json non-finite floats are null" `Quick
+            test_json_non_finite_null;
+          Alcotest.test_case "write_atomic replaces whole, leaves no temp"
+            `Quick test_write_atomic;
         ] );
       ( "table",
         [
